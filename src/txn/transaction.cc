@@ -353,6 +353,22 @@ Status Transaction::HtmValidateAndApply() {
     bool dangling = false;
     uint64_t dangling_word = 0;
     uint64_t dangling_off = 0;
+    // A remote transaction locked this record before our HTM region began
+    // (§4.4 C.4's "additional check"). If the owner is gone, the lock is
+    // released outside the region and the region retried; else we conflict.
+    auto held_by_other = [&](uint64_t lock_word, uint64_t off) {
+      if (!LockWord::IsLocked(lock_word)) {
+        return false;
+      }
+      if (engine_->OwnerAbsent(ctx_, lock_word)) {
+        dangling = true;
+        dangling_word = lock_word;
+        dangling_off = off;
+      } else {
+        conflict = true;
+      }
+      return true;
+    };
 
     // Fencing (DESIGN.md §10): pull the stamped epoch word into the HTM read
     // set. A membership stamp is a plain bus CAS on that line, so it dooms
@@ -371,24 +387,30 @@ Status Transaction::HtmValidateAndApply() {
       }
     }
 
-    // C.3: validate the local read set.
+    // C.3: validate the local read set. A held lock fails like a moved seq
+    // (the CommitReadOnly rule): its owner has passed C.1 and may already
+    // have applied its other records, so our read of this one's old value
+    // would close a dependency cycle with it.
     for (const AccessEntry& e : read_set_) {
       if (!IsLocal(e.node)) {
         continue;
       }
-      uint64_t meta[2];
-      if (htm->Read(e.offset + RecordLayout::kIncOff, meta, sizeof(meta)) != Status::kOk) {
+      uint64_t meta[3];  // lock, incarnation, seq
+      if (htm->Read(e.offset, meta, sizeof(meta)) != Status::kOk) {
         htm_failed = true;
         break;
       }
-      if (meta[0] != e.incarnation || !rules_.ReadValid(e.seq, meta[1])) {
+      if (held_by_other(meta[0], e.offset)) {
+        break;
+      }
+      if (meta[1] != e.incarnation || !rules_.ReadValid(e.seq, meta[2])) {
         conflict = true;
         break;
       }
     }
 
     // C.4: check and update the local write set.
-    if (!conflict && !htm_failed) {
+    if (!conflict && !dangling && !htm_failed) {
       for (size_t i = 0; i < write_set_.size(); ++i) {
         WriteEntry& w = write_set_[i];
         if (!IsLocal(w.access.node)) {
@@ -399,17 +421,7 @@ Status Transaction::HtmValidateAndApply() {
           htm_failed = true;
           break;
         }
-        if (LockWord::IsLocked(meta[0])) {
-          // A remote transaction locked this record before our HTM region
-          // began (§4.4 C.4's "additional check"). If the owner is gone,
-          // release the lock outside the region and retry.
-          if (engine_->OwnerAbsent(ctx_, meta[0])) {
-            dangling = true;
-            dangling_word = meta[0];
-            dangling_off = w.access.offset;
-          } else {
-            conflict = true;
-          }
+        if (held_by_other(meta[0], w.access.offset)) {
           break;
         }
         if (store::SeqWord::Locked(meta[2])) {
@@ -583,7 +595,7 @@ Status Transaction::WriteBackRemote() {
 }
 
 Status Transaction::CommitReadOnly() {
-  // §4.5: validate sequence numbers only; no HTM, no locks.
+  // §4.5: validate, without HTM and without taking locks.
   obs::PhaseTimer timer(ctx_, obs::Phase::kValidation);
   // Fencing: a read-only transaction spanning a configuration change may have
   // read copies that recovery has since re-hosted; validating against the
@@ -602,18 +614,21 @@ Status Transaction::CommitReadOnly() {
       return Status::kStaleEpoch;
     }
   }
+  // A held lock fails validation like a moved seq: its owner passed C.1 and
+  // may have applied other records we read (C.4) before writing this one
+  // back (C.5), so an unchanged seq here does not prove an untorn snapshot.
   for (const AccessEntry& e : read_set_) {
-    uint64_t inc, seq;
+    uint64_t lock, inc, seq;
     if (IsLocal(e.node)) {
-      engine_->ReadMetaLocal(ctx_, e, &inc, &seq);
+      engine_->ReadMetaLocal(ctx_, e, &inc, &seq, &lock);
     } else {
-      const Status s = engine_->ReadMetaRemote(ctx_, e, &inc, &seq);
+      const Status s = engine_->ReadMetaRemote(ctx_, e, &inc, &seq, &lock);
       if (s != Status::kOk) {
         engine_->stats().IncAbortValidation();
         return Status::kAborted;
       }
     }
-    if (inc != e.incarnation || !rules_.ReadValid(e.seq, seq)) {
+    if (LockWord::IsLocked(lock) || inc != e.incarnation || !rules_.ReadValid(e.seq, seq)) {
       engine_->stats().IncAbortValidation();
       return Status::kAborted;
     }

@@ -10,8 +10,9 @@
 //   C.1 lock remote read+write sets with one-sided RDMA CAS (sorted; the
 //       owner machine id is encoded for dangling-lock recovery),
 //   C.2 validate the remote read set with RDMA READs,
-//   HTM region { C.3 validate local read set; check local write set unlocked
-//       and committable; C.4 apply buffered local writes, seq := seq+1 },
+//   HTM region { C.3 validate local read set (seq unchanged, lock free);
+//       check local write set unlocked and committable; C.4 apply buffered
+//       local writes, seq := seq+1 },
 //   R.1 replicate every written record to its backups' NVM logs,
 //   R.2 makeup: bump local written seqs to the next even value,
 //   C.5 write back remote records (seq := seq+2) with RDMA WRITEs,
@@ -19,8 +20,13 @@
 //   C.6 unlock remote records with RDMA CAS.
 //
 // Read-only transactions (§4.5, Fig. 8) skip HTM and locking entirely:
-// execution-phase remote reads additionally check the lock, and commit just
-// re-validates sequence numbers.
+// execution-phase remote reads additionally check the lock, and commit
+// re-reads each record's lock, incarnation and seq in one read, refusing a
+// moved seq *or* a held lock. The lock rule follows from the commit order:
+// a committer locks its remote records (C.1) before it applies its local
+// ones (C.4) and writes the remote ones back (C.5), so a locked record may
+// still show its old seq while another record already shows that
+// committer's write — seq validation alone would accept the torn snapshot.
 //
 // The fallback handler (§6.1-6.2) takes over when the HTM step cannot make
 // progress: it releases held remote locks, re-locks *all* records (local ones

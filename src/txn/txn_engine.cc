@@ -270,26 +270,35 @@ Status TxnEngine::ReadRemoteRecord(sim::ThreadContext* ctx, store::Table* table,
 }
 
 void TxnEngine::ReadMetaLocal(sim::ThreadContext* ctx, const AccessEntry& e, uint64_t* inc,
-                              uint64_t* seq) {
-  uint64_t meta[2];
+                              uint64_t* seq, uint64_t* lock) {
+  uint64_t meta[3];  // lock, incarnation, seq — line 0 from kLockOff
+  const uint64_t from = lock != nullptr ? RecordLayout::kLockOff : RecordLayout::kIncOff;
   cluster_->node(ctx->node_id)
       ->bus()
-      ->Read(ctx, e.offset + RecordLayout::kIncOff, meta, sizeof(meta));
-  *inc = meta[0];
-  *seq = meta[1];
+      ->Read(ctx, e.offset + from, meta + from / sizeof(uint64_t), sizeof(meta) - from);
+  if (lock != nullptr) {
+    *lock = meta[0];
+  }
+  *inc = meta[1];
+  *seq = meta[2];
 }
 
 Status TxnEngine::ReadMetaRemote(sim::ThreadContext* ctx, const AccessEntry& e, uint64_t* inc,
-                                 uint64_t* seq) {
-  uint64_t meta[2];
+                                 uint64_t* seq, uint64_t* lock) {
+  uint64_t meta[3];  // lock, incarnation, seq — line 0 from kLockOff
+  const uint64_t from = lock != nullptr ? RecordLayout::kLockOff : RecordLayout::kIncOff;
   const Status s = cluster_->node(ctx->node_id)
                        ->nic()
-                       ->Read(ctx, e.node, e.offset + RecordLayout::kIncOff, meta, sizeof(meta));
+                       ->Read(ctx, e.node, e.offset + from, meta + from / sizeof(uint64_t),
+                              sizeof(meta) - from);
   if (s != Status::kOk) {
     return s;
   }
-  *inc = meta[0];
-  *seq = meta[1];
+  if (lock != nullptr) {
+    *lock = meta[0];
+  }
+  *inc = meta[1];
+  *seq = meta[2];
   return Status::kOk;
 }
 

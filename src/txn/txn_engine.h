@@ -121,10 +121,13 @@ class TxnEngine {
   Status ReadRemoteRecord(sim::ThreadContext* ctx, store::Table* table, uint32_t node,
                           uint64_t key, void* value_out, AccessEntry* entry, bool check_lock);
 
-  // Re-reads (incarnation, seq) of a record for commit-time validation.
-  void ReadMetaLocal(sim::ThreadContext* ctx, const AccessEntry& e, uint64_t* inc, uint64_t* seq);
+  // Re-reads (incarnation, seq) of a record for commit-time validation. With
+  // a non-null `lock` the lock word comes along too: the three words are
+  // contiguous on line 0, so it is still one read (24 bytes from kLockOff).
+  void ReadMetaLocal(sim::ThreadContext* ctx, const AccessEntry& e, uint64_t* inc, uint64_t* seq,
+                     uint64_t* lock = nullptr);
   Status ReadMetaRemote(sim::ThreadContext* ctx, const AccessEntry& e, uint64_t* inc,
-                        uint64_t* seq);
+                        uint64_t* seq, uint64_t* lock = nullptr);
 
   // ---- mutation RPC (§4.3) ----
 

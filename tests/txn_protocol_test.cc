@@ -260,6 +260,92 @@ TEST_F(TxnTest, ReadOnlyRefusesLockedRemoteRecord) {
   EXPECT_TRUE(done.load());
 }
 
+TEST_F(TxnTest, ReadOnlyCommitRefusesRecordLockedAfterRead) {
+  // A committer's C.1 lock lands after the read-only transaction read the
+  // record but before its C.5 write-back moves the seq. Other records the
+  // committer wrote may already show its update, so the unchanged seq alone
+  // must not validate: commit-time validation refuses the held lock, for a
+  // local (node 0) and a remote (node 1) record alike.
+  sim::ThreadContext* ctx = cluster_->node(0)->context(0);
+  for (uint32_t node : {0u, 1u}) {
+    SCOPED_TRACE(node == 0 ? "local record" : "remote record");
+    const uint64_t key = 12 + node;  // HomeOf(key) == node
+    Transaction ro(engine_.get(), ctx);
+    ro.Begin(/*read_only=*/true);
+    Account a{};
+    ASSERT_EQ(ro.Read(accounts_, node, key, &a), Status::kOk);
+
+    const uint64_t off = accounts_->hash(node)->Lookup(cluster_->node(node)->context(0), key);
+    ASSERT_NE(off, 0u);
+    const uint64_t owner = LockWord::Make(2, 0);
+    uint64_t obs;
+    ASSERT_TRUE(cluster_->node(node)->bus()->CasU64(nullptr, off + RecordLayout::kLockOff, 0,
+                                                    owner, &obs));
+    EXPECT_EQ(ro.Commit(), Status::kAborted);
+    ASSERT_TRUE(cluster_->node(node)->bus()->CasU64(nullptr, off + RecordLayout::kLockOff,
+                                                    owner, 0, &obs));
+  }
+}
+
+TEST_F(TxnTest, HtmCommitRefusesLocalReadRecordLockedByRemoteCommitter) {
+  // C.3 applies the same rule to a read-write transaction's local read-only
+  // records: a remote committer holding the lock conflicts, and the local
+  // write in the same HTM region must not reach memory.
+  sim::ThreadContext* ctx = cluster_->node(0)->context(0);
+  const uint64_t off = accounts_->hash(0)->Lookup(cluster_->node(0)->context(0), 6);
+  ASSERT_NE(off, 0u);
+  Transaction txn(engine_.get(), ctx);
+  txn.Begin();
+  Account a{};
+  ASSERT_EQ(txn.Read(accounts_, 0, 6, &a), Status::kOk);  // read only, never written
+  Account b{};
+  ASSERT_EQ(txn.Read(accounts_, 0, 9, &b), Status::kOk);
+  b.balance = a.balance + 1;
+  ASSERT_EQ(txn.Write(accounts_, 0, 9, &b), Status::kOk);
+
+  const uint64_t owner = LockWord::Make(2, 0);
+  uint64_t obs;
+  ASSERT_TRUE(
+      cluster_->node(0)->bus()->CasU64(nullptr, off + RecordLayout::kLockOff, 0, owner, &obs));
+  EXPECT_EQ(txn.Commit(), Status::kAborted);
+  ASSERT_TRUE(
+      cluster_->node(0)->bus()->CasU64(nullptr, off + RecordLayout::kLockOff, owner, 0, &obs));
+  EXPECT_EQ(Balance(9), 1000u) << "the aborted HTM region leaked its write";
+}
+
+TEST_F(TxnTest, HtmCommitReleasesDanglingLockOnLocalReadRecord) {
+  // The dangling-owner half of the C.3 lock rule: a lock whose owner left the
+  // configuration is stolen outside the region and the commit goes through.
+  cluster::Coordinator coord;
+  coord.Join(0, 0, 1000000);
+  coord.Join(1, 0, 1000000);
+  coord.Join(2, 0, 1000000);
+  TxnConfig tcfg;
+  TxnEngine engine(cluster_.get(), catalog_.get(), tcfg, &coord);
+
+  const uint64_t off = accounts_->hash(0)->Lookup(cluster_->node(0)->context(0), 15);
+  ASSERT_NE(off, 0u);
+  sim::ThreadContext* ctx = cluster_->node(0)->context(2);
+  Transaction txn(&engine, ctx);
+  txn.Begin();
+  Account a{};
+  ASSERT_EQ(txn.Read(accounts_, 0, 15, &a), Status::kOk);
+  Account b{};
+  ASSERT_EQ(txn.Read(accounts_, 0, 18, &b), Status::kOk);
+  b.balance = 4;
+  ASSERT_EQ(txn.Write(accounts_, 0, 18, &b), Status::kOk);
+
+  const uint64_t dead_owner = LockWord::Make(7, 0);  // machine 7 never existed
+  uint64_t obs;
+  ASSERT_TRUE(cluster_->node(0)->bus()->CasU64(nullptr, off + RecordLayout::kLockOff, 0,
+                                               dead_owner, &obs));
+  EXPECT_EQ(txn.Commit(), Status::kOk);
+  EXPECT_GE(engine.stats().dangling_locks_released.load(), 1u);
+  EXPECT_EQ(cluster_->node(0)->bus()->ReadU64(nullptr, off + RecordLayout::kLockOff),
+            LockWord::kUnlocked);
+  EXPECT_EQ(Balance(18), 4u);
+}
+
 TEST_F(TxnTest, LockConflictOnRemoteCommit) {
   // Hold the lock of a remote record; a commit needing it must abort (C.1).
   const uint64_t off = accounts_->hash(1)->Lookup(cluster_->node(1)->context(0), 16);
